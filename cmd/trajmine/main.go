@@ -12,9 +12,6 @@
 //	trajmine -in zebra.jsonl -debug-addr localhost:6060
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -maxwall 30s
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -resume
-//	trajmine -in zebra.jsonl -k 20 -shards 4
-//	trajmine -in zebra.jsonl -shards 4 -checkpoint run.ckpt -resume
-//	trajmine -in zebra.jsonl -shards 4 -shard-procs 4 -shard-retries 3 -shard-stall 30s
 package main
 
 import (
@@ -23,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/obs"
@@ -32,24 +28,7 @@ import (
 	"trajpattern/internal/traj"
 )
 
-// effectiveShards maps the -shards flag to MineOptions.Shards: 0 means
-// one shard per CPU, anything else passes through (1 keeps the
-// single-partition miner).
-func effectiveShards(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 func main() {
-	// Hidden worker mode: `trajmine -shard-worker i/n ...` mines exactly
-	// one shard to its checkpoint file and exits with a typed status.
-	// The supervisor (-shard-procs) launches these; dispatch happens
-	// before normal flag parsing so the worker owns its own flag set.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(cli.ShardWorkerMain(os.Args[2:]))
-	}
 	var (
 		in      = flag.String("in", "", "input trajectory file (required)")
 		k       = flag.Int("k", 10, "number of patterns to mine")
@@ -58,7 +37,6 @@ func main() {
 		maxLen  = flag.Int("maxlen", 8, "maximum pattern length")
 		deltaMu = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
 		measure = flag.String("measure", "nm", "measure: nm (TrajPattern), pb (projection baseline) or match ([14])")
-		shards  = flag.Int("shards", 1, "partition the dataset across this many shards and merge the per-shard top-k (0 = one per CPU; nm only)")
 		groups  = flag.Bool("groups", true, "cluster the result into pattern groups")
 		viz     = flag.Bool("viz", false, "render ASCII heatmap of the data and the best pattern")
 		save    = flag.String("savepats", "", "persist scored patterns to this JSON file")
@@ -74,10 +52,6 @@ func main() {
 		ckpt    = flag.String("checkpoint", "", "write crash-safe miner checkpoints to this file (nm only)")
 		ckEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in iterations")
 		resume  = flag.Bool("resume", false, "restore miner state from -checkpoint before mining")
-
-		shProcs   = flag.Int("shard-procs", 0, "run shards as supervised worker processes, this many at a time (0 = in-process goroutines; needs -shards > 1)")
-		shRetries = flag.Int("shard-retries", 0, "per-shard worker attempt budget under -shard-procs (0 = default)")
-		shStall   = flag.Duration("shard-stall", 0, "kill and relaunch a worker whose checkpoint stops advancing for this long (0 = disabled)")
 
 		logFlags cli.LogFlags
 	)
@@ -141,7 +115,6 @@ func main() {
 		MaxLen:          *maxLen,
 		DeltaMul:        *deltaMu,
 		Measure:         *measure,
-		Shards:          effectiveShards(*shards),
 		Groups:          *groups,
 		Viz:             *viz,
 		SavePath:        *save,
@@ -155,10 +128,6 @@ func main() {
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckEvery,
 		Resume:          *resume,
-		ShardProcs:      *shProcs,
-		ShardRetries:    *shRetries,
-		ShardStall:      *shStall,
-		DataPath:        *in,
 	})
 	stopSignals()
 	printer.Done()

@@ -50,7 +50,7 @@ type BenchOptions struct {
 	// TolPct is the allowed drift percentage for CheckPath comparisons.
 	// Zero means DefaultBenchTolerance.
 	TolPct float64
-	// Scaling additionally runs the sharded miner's scaling curve (see
+	// Scaling additionally runs the miner's worker scaling curve (see
 	// RunScaling) and records it as the result's "scaling" block; with
 	// CheckPath set, the block is gated against the baseline's via
 	// CheckScaling (efficiency floor + work counters).
@@ -101,19 +101,17 @@ type BenchResult struct {
 	Scale       float64                      `json:"scale"`
 	Seed        uint64                       `json:"seed"`
 	Experiments map[string]*ExperimentResult `json:"experiments"`
-	// Scaling holds the sharded miner's scaling curve when the run was
-	// asked to measure one (BenchOptions.Scaling); absent otherwise, so
-	// pre-sharding baselines keep loading unchanged.
+	// Scaling holds the miner's worker scaling curve when the run was
+	// asked to measure one (BenchOptions.Scaling); absent otherwise.
 	Scaling *ScalingResult `json:"scaling,omitempty"`
 }
 
 // nondeterministicFragments mark counter namespaces whose values depend
 // on goroutine scheduling or pool reuse; they are reported in Metrics but
 // excluded from the Work map the regression gate compares. Matched by
-// substring, not prefix, so per-shard copies ("shard.03.scorer.scratch.…")
-// stay excluded too. "shard.pool." covers the work-stealing pool's
-// utilization counters (steals vary with which worker drains which deque).
-var nondeterministicFragments = []string{"scorer.scratch.", "scorer.worker.", "shard.pool."}
+// substring, not prefix, so a namespaced copy of such a counter stays
+// excluded too.
+var nondeterministicFragments = []string{"scorer.scratch.", "scorer.worker."}
 
 // workCounters extracts the deterministic gate counters from a snapshot.
 func workCounters(s obs.Snapshot) map[string]int64 {

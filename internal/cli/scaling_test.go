@@ -3,12 +3,15 @@ package cli
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
+
+	"trajpattern/internal/core"
 )
 
-func scalingEntry(shards int, eff float64, work map[string]int64) ScalingEntry {
-	return ScalingEntry{Shards: shards, NS: 1000, Speedup: eff, Efficiency: eff, Work: work}
+func scalingEntry(workers int, eff float64, work map[string]int64) ScalingEntry {
+	return ScalingEntry{Workers: workers, NS: 1000, Speedup: eff, Efficiency: eff, Work: work}
 }
 
 func scalingFixture(procs int) *ScalingResult {
@@ -17,7 +20,7 @@ func scalingFixture(procs int) *ScalingResult {
 		Floor: 0.5,
 		Entries: []ScalingEntry{
 			scalingEntry(1, 1.0, map[string]int64{"miner.candidates": 100}),
-			scalingEntry(4, 0.8, map[string]int64{"shard.00.miner.candidates": 25}),
+			scalingEntry(4, 0.8, map[string]int64{"miner.candidates": 100}),
 		},
 	}
 }
@@ -61,24 +64,24 @@ func TestCheckScalingEfficiencyFloor(t *testing.T) {
 
 func TestCheckScalingWorkDrift(t *testing.T) {
 	cur := scalingFixture(4)
-	cur.Entries[1].Work = map[string]int64{"shard.00.miner.candidates": 50}
+	cur.Entries[1].Work = map[string]int64{"miner.candidates": 200}
 	v := CheckScaling(scalingFixture(4), cur, 10)
-	if len(v) != 1 || !strings.Contains(v[0], "shard.00.miner.candidates") {
+	if len(v) != 1 || !strings.Contains(v[0], "miner.candidates") {
 		t.Errorf("work drift not flagged: %v", v)
 	}
 	// Two-sided: shrinking work is flagged too.
-	cur.Entries[1].Work = map[string]int64{"shard.00.miner.candidates": 1}
+	cur.Entries[1].Work = map[string]int64{"miner.candidates": 1}
 	if v := CheckScaling(scalingFixture(4), cur, 10); len(v) != 1 {
 		t.Errorf("shrunken work not flagged: %v", v)
 	}
 }
 
-func TestCheckScalingMissingShardCount(t *testing.T) {
+func TestCheckScalingMissingWorkerCount(t *testing.T) {
 	cur := scalingFixture(4)
 	cur.Entries = cur.Entries[:1]
 	v := CheckScaling(scalingFixture(4), cur, 10)
-	if len(v) != 1 || !strings.Contains(v[0], "shard count 4 missing") {
-		t.Errorf("missing shard count not flagged: %v", v)
+	if len(v) != 1 || !strings.Contains(v[0], "worker count 4 missing") {
+		t.Errorf("missing worker count not flagged: %v", v)
 	}
 }
 
@@ -93,14 +96,17 @@ func TestRunScalingSmall(t *testing.T) {
 	if len(res.Entries) != 2 {
 		t.Fatalf("entries = %d", len(res.Entries))
 	}
-	if res.Entries[0].Shards != 1 || res.Entries[0].Speedup != 1 {
+	if res.Entries[0].Workers != 1 || res.Entries[0].Speedup != 1 {
 		t.Errorf("reference entry = %+v", res.Entries[0])
 	}
-	if res.Entries[1].Shards != 2 {
-		t.Errorf("second entry shards = %d", res.Entries[1].Shards)
+	if res.Entries[1].Workers != 2 {
+		t.Errorf("second entry workers = %d", res.Entries[1].Workers)
 	}
 	if len(res.Entries[1].Work) == 0 {
 		t.Error("no work counters recorded")
+	}
+	if d := firstCounterDiff(res.Entries[0].Work, res.Entries[1].Work); d != "" {
+		t.Errorf("work differs between worker counts: %s", d)
 	}
 	if !strings.Contains(buf.String(), "scaling:") {
 		t.Errorf("missing table header:\n%s", buf.String())
@@ -112,51 +118,37 @@ func TestRunScalingRejectsBadCounts(t *testing.T) {
 	if _, err := RunScaling(context.Background(), &buf, ScalingOptions{Counts: []int{2, 4}}); err == nil {
 		t.Error("counts not starting at 1 accepted")
 	}
-}
-
-func TestMineShardedMatchesSingle(t *testing.T) {
-	ds, err := Generate(GenOptions{Kind: "zebra", N: 12, Len: 25, U: 0.02, C: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := MineOptions{K: 5, GridN: 8, MinLen: 1, MaxLen: 4, DeltaMul: 1, Measure: "nm"}
-	var single bytes.Buffer
-	ref, err := Mine(context.Background(), &single, ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Shards = 3
-	var buf bytes.Buffer
-	got, err := Mine(context.Background(), &buf, ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("sharded returned %d patterns, single %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i].Key() != ref[i].Key() {
-			t.Errorf("rank %d: sharded %s vs single %s", i, got[i].Key(), ref[i].Key())
-		}
-	}
-	out := buf.String()
-	if !strings.Contains(out, "×3 shards") {
-		t.Errorf("missing shard header:\n%s", out)
-	}
-	if !strings.Contains(out, "merge:") {
-		t.Errorf("missing merge summary:\n%s", out)
+	if _, err := RunScaling(context.Background(), &buf, ScalingOptions{Counts: []int{1, 0}, Scale: 0.1}); err == nil {
+		t.Error("zero worker count accepted")
 	}
 }
 
-func TestMineShardedRejectsOtherMeasures(t *testing.T) {
-	ds, err := Generate(GenOptions{Kind: "zebra", N: 6, Len: 15, U: 0.02, C: 2, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
+// TestScalingDiffsAreExact: the cross-worker agreement checks compare NM
+// scores bit for bit and counters by exact value, so a last-ulp or
+// one-count difference is caught.
+func TestScalingDiffsAreExact(t *testing.T) {
+	a := []core.ScoredPattern{{Pattern: core.Pattern{1, 2}, NM: -1.5}, {Pattern: core.Pattern{3}, NM: -2}}
+	b := []core.ScoredPattern{{Pattern: core.Pattern{1, 2}, NM: -1.5}, {Pattern: core.Pattern{3}, NM: math.Nextafter(-2, 0)}}
+	if i := firstPatternDiff(a, a); i != -1 {
+		t.Errorf("identical top-k differs at %d", i)
 	}
-	var buf bytes.Buffer
-	if _, err := Mine(context.Background(), &buf, ds, MineOptions{
-		K: 3, GridN: 8, MaxLen: 3, DeltaMul: 1, Measure: "match", Shards: 2,
-	}); err == nil {
-		t.Error("sharded non-nm measure accepted")
+	if i := firstPatternDiff(a, b); i != 1 {
+		t.Errorf("last-ulp score difference found at %d, want 1", i)
+	}
+	if i := firstPatternDiff(a, a[:1]); i != 1 {
+		t.Errorf("shorter top-k found at %d, want 1", i)
+	}
+	if i := firstPatternDiff(a[:1], a); i != 1 {
+		t.Errorf("longer top-k found at %d, want 1", i)
+	}
+	w := map[string]int64{"miner.candidates": 10, "scorer.nm.evals": 12}
+	if d := firstCounterDiff(w, map[string]int64{"miner.candidates": 10, "scorer.nm.evals": 12}); d != "" {
+		t.Errorf("equal counters differ: %s", d)
+	}
+	if d := firstCounterDiff(w, map[string]int64{"miner.candidates": 10, "scorer.nm.evals": 13}); !strings.Contains(d, "scorer.nm.evals") {
+		t.Errorf("off-by-one counter not named: %q", d)
+	}
+	if d := firstCounterDiff(w, map[string]int64{"miner.candidates": 10}); !strings.Contains(d, "scorer.nm.evals") {
+		t.Errorf("missing counter not named: %q", d)
 	}
 }

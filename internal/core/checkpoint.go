@@ -165,9 +165,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 
 // Fingerprint returns the fingerprint Mine would stamp on checkpoints
 // of this configuration run against scorer s: defaults applied and the
-// seed set resolved exactly as the miner does. Callers use it to vet
-// externally produced checkpoints (shard worker files) before trusting
-// their state.
+// seed set resolved exactly as the miner does. Callers use it to vet a
+// checkpoint read from disk before trusting its state.
 func (c MinerConfig) Fingerprint(s *Scorer) (string, error) {
 	c = c.withDefaults()
 	seeds := c.Seeds
@@ -196,12 +195,6 @@ func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=%t;",
 		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, sc.LogFloor, !sc.DisableCache)
 	fmt.Fprintf(h, "data=%d/%d", len(s.data), len(s.flat))
-	// FingerprintExtra binds sharded checkpoints to their shard slot;
-	// hashing it only when set keeps every pre-sharding fingerprint —
-	// and thus every existing checkpoint — valid.
-	if c.FingerprintExtra != "" {
-		fmt.Fprintf(h, ";extra=%s", c.FingerprintExtra)
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

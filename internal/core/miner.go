@@ -111,24 +111,10 @@ type MinerConfig struct {
 	// nil means the real OS. Tests inject a *faultio.Faults to prove
 	// crash-safety.
 	CheckpointFS faultio.FS
-	// Shards, when > 1, asks for the sharded engine: the dataset is
-	// partitioned and mined per shard, and the per-shard candidate sets
-	// are merged under the min-max bound (package core/shard; the CLIs
-	// and trajserve route through it). Mine itself ignores the field —
-	// it always runs the single-partition algorithm — so Shards <= 1 is
-	// byte-identical to the pre-sharding miner. Zero means 1.
-	Shards int
-	// FingerprintExtra, when non-empty, is hashed into the checkpoint
-	// fingerprint on top of the problem description. The sharded engine
-	// uses it to bind each per-shard checkpoint to its shard index, so a
-	// shard can never resume a sibling's state just because their
-	// sub-datasets have the same shape. Empty leaves the fingerprint
-	// exactly as before — existing checkpoints stay resumable.
-	FingerprintExtra string
 	// CaptureFinalState, when set, makes Mine attach its terminal
 	// boundary state (Q, the full NM memo, and the stability witnesses)
-	// to Result.FinalState in checkpoint form. The sharded merge reads
-	// per-shard memos from it instead of re-deriving them from disk.
+	// to Result.FinalState in checkpoint form, so a caller can inspect
+	// every pattern the run evaluated without reading a checkpoint file.
 	CaptureFinalState bool
 }
 
@@ -189,9 +175,6 @@ func (c MinerConfig) validate() error {
 	if c.MaxWallTime < 0 {
 		return cfgErr("MinerConfig", "MaxWallTime", "must be >= 0, got %v", c.MaxWallTime)
 	}
-	if c.Shards < 0 {
-		return cfgErr("MinerConfig", "Shards", "must be >= 0, got %d", c.Shards)
-	}
 	if c.Resume != nil && c.Resume.Version != CheckpointVersion {
 		return fmt.Errorf("core: resume checkpoint version %d, want %d", c.Resume.Version, CheckpointVersion)
 	}
@@ -230,8 +213,8 @@ type Result struct {
 	InterruptReason string
 	// FinalState is the terminal boundary snapshot of the run (Q, the
 	// NM memo, stability witnesses), present only when
-	// MinerConfig.CaptureFinalState was set. The sharded merge consumes
-	// it; it is never written to disk by Mine itself.
+	// MinerConfig.CaptureFinalState was set. Mine never writes it to
+	// disk itself.
 	FinalState *Checkpoint
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
@@ -232,6 +233,52 @@ func TestMinerDeterminism(t *testing.T) {
 	for i := range a.Patterns {
 		if !a.Patterns[i].Pattern.Equal(b.Patterns[i].Pattern) || a.Patterns[i].NM != b.Patterns[i].NM {
 			t.Fatalf("nondeterministic result at rank %d: %v vs %v", i, a.Patterns[i], b.Patterns[i])
+		}
+	}
+}
+
+// TestMinerWorkerCountDeterministic: ScoreAll's worker pool is the
+// miner's only parallel path, so any worker count must return the
+// 1-worker answer bit for bit — same patterns, same NM float bits — after
+// exactly the same work.
+func TestMinerWorkerCountDeterministic(t *testing.T) {
+	data, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 20, AvgLen: 24, Seed: 7}, 0.02, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.NewSquare(8) // zebra herds roam the unit square
+	run := func(workers int) *Result {
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Mine(context.Background(), s, MinerConfig{K: 6, MaxLen: 5, MaxLowQ: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Interrupted {
+			t.Fatalf("%d workers: interrupted: %s", workers, res.InterruptReason)
+		}
+		return res
+	}
+	ref := run(1)
+	if len(ref.Patterns) == 0 {
+		t.Fatal("reference run found no patterns")
+	}
+	for _, workers := range []int{2, 4, 8} {
+		got := run(workers)
+		if got.Stats != ref.Stats {
+			t.Errorf("%d workers: stats %+v, 1 worker %+v", workers, got.Stats, ref.Stats)
+		}
+		if len(got.Patterns) != len(ref.Patterns) {
+			t.Fatalf("%d workers: %d patterns, 1 worker %d", workers, len(got.Patterns), len(ref.Patterns))
+		}
+		for i, sp := range got.Patterns {
+			want := ref.Patterns[i]
+			if sp.Pattern.Key() != want.Pattern.Key() || math.Float64bits(sp.NM) != math.Float64bits(want.NM) {
+				t.Errorf("%d workers, rank %d: %s NM=%x, 1 worker %s NM=%x", workers, i,
+					sp.Pattern.Key(), math.Float64bits(sp.NM), want.Pattern.Key(), math.Float64bits(want.NM))
+			}
 		}
 	}
 }

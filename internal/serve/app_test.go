@@ -8,12 +8,14 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"trajpattern/internal/cli"
+	"trajpattern/internal/obs"
 	"trajpattern/internal/testutil/leakcheck"
 )
 
@@ -30,11 +32,12 @@ func TestRunSigtermDrain(t *testing.T) {
 
 	ready := make(chan string, 1)
 	runErr := make(chan error, 1)
+	reg := obs.New()
 	go func() {
 		runErr <- Run(ctx, Options{
 			Addr:    "127.0.0.1:0",
 			Dataset: testDataset(),
-			Server:  Config{GridN: 6},
+			Server:  Config{GridN: 6, Metrics: reg},
 			Grace:   10 * time.Second,
 			Log:     io.Discard,
 		}, func(addr string) { ready <- addr })
@@ -58,9 +61,8 @@ func TestRunSigtermDrain(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// Hold a request in flight deterministically: send the headers and
-	// half the JSON body, then stall. The handler is admitted and blocks
-	// reading the rest — in-flight by construction, no timing games.
+	// Hold a request in flight: send the headers and half the JSON body,
+	// then stall. The handler is admitted and blocks reading the rest.
 	body := `{"patterns":[[1,2]]}`
 	half := len(body) / 2
 	conn, err := net.Dial("tcp", addr)
@@ -70,6 +72,17 @@ func TestRunSigtermDrain(t *testing.T) {
 	defer conn.Close()
 	fmt.Fprintf(conn, "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
 		len(body), body[:half])
+	// Witness the admission before signalling: the in-flight weight gauge
+	// moves only once the held request has passed Acquire. A SIGTERM sent
+	// earlier would shed it as "draining" instead of letting it finish.
+	inflight := reg.Gauge("serve.inflight_weight")
+	admitDeadline := time.Now().Add(10 * time.Second)
+	for inflight.Value() == 0 {
+		if time.Now().After(admitDeadline) {
+			t.Fatal("held request never passed admission")
+		}
+		runtime.Gosched()
+	}
 
 	// SIGTERM: stage one of the drain must close the listener while the
 	// held request stays alive.

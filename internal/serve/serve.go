@@ -33,7 +33,6 @@ import (
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
-	"trajpattern/internal/core/shard"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/ingest"
 	"trajpattern/internal/obs"
@@ -77,23 +76,6 @@ type Config struct {
 	// MineWeight is the admission weight of one /v1/mine request.
 	// Zero means DefaultMineWeight.
 	MineWeight int64
-	// MineShards partitions the dataset across this many shards for
-	// /v1/mine, merging the per-shard answers into the same top-k the
-	// single-partition miner returns. 0 or 1 keeps the single-partition
-	// miner; negative means one shard per CPU. A sharded mine occupies
-	// more of the machine, so its admission weight is MineWeight times
-	// the effective shard count, clamped to Capacity.
-	MineShards int
-	// MineProcs, when positive, executes each sharded /v1/mine request's
-	// shards as supervised worker processes (this many at a time) with
-	// retry, stall detection and checkpoint recovery instead of in-process
-	// goroutines. Needs MineShards to activate the shard engine and
-	// DataPath so workers can rebuild the dataset; the request keeps the
-	// same admission weight either way.
-	MineProcs int
-	// DataPath is the trajectory file Dataset was read from, handed to
-	// shard worker processes. Required when MineProcs > 0.
-	DataPath string
 
 	// ScoreDeadline, MineDeadline and PredictDeadline bound each route's
 	// wall time, queue wait included. Zero means DefaultDeadline;
@@ -230,7 +212,6 @@ const DefaultIngestMineK = 8
 type Server struct {
 	cfg       Config
 	scorer    *core.Scorer
-	engine    *shard.Engine // non-nil when MineShards routes /v1/mine through the sharded miner
 	grid      *grid.Grid
 	delta     float64
 	sigma     float64
@@ -316,9 +297,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if math.IsNaN(cfg.DeltaMul) || cfg.DeltaMul <= 0 {
 		return nil, fmt.Errorf("serve: DeltaMul must be positive and not NaN, got %v", cfg.DeltaMul)
 	}
-	if cfg.MineProcs > 0 && cfg.DataPath == "" {
-		return nil, errors.New("serve: MineProcs needs DataPath so shard workers can rebuild the dataset")
-	}
 	g := cli.FitGrid(cfg.Dataset, cfg.GridN)
 	delta := cfg.DeltaMul * g.CellWidth()
 	scorer, err := core.NewScorer(cfg.Dataset, core.Config{
@@ -334,32 +312,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if sigma <= 0 {
 		sigma = delta // exact zero sigma would break the predictor's confirmation probability
 	}
-	// A sharded /v1/mine runs one search per shard concurrently, so it
-	// claims proportionally more admission weight — clamped to Capacity so
-	// a generous shard count can still be admitted at all.
-	var engine *shard.Engine
-	mineWeight := cfg.MineWeight
-	if cfg.MineShards < 0 || cfg.MineShards > 1 {
-		want := cfg.MineShards
-		if want < 0 {
-			want = 0 // NewEngine maps 0 to one shard per CPU
-		}
-		eng, err := shard.NewEngine(scorer, want)
-		if err != nil {
-			return nil, fmt.Errorf("serve: build shard engine: %w", err)
-		}
-		if eng.Shards() > 1 {
-			engine = eng
-			mineWeight *= int64(eng.Shards())
-			if cfg.Capacity > 0 && mineWeight > cfg.Capacity {
-				mineWeight = cfg.Capacity
-			}
-		}
-	}
 	s := &Server{
 		cfg:       cfg,
 		scorer:    scorer,
-		engine:    engine,
 		grid:      g,
 		delta:     delta,
 		sigma:     sigma,
@@ -377,7 +332,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Wait:     cfg.Metrics.Histogram("serve.queue.wait"),
 	})
 	s.mux.Handle("POST "+routeScore, s.guarded(routeScore, cfg.ScoreDeadline, 1, s.handleScore))
-	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineDeadline, mineWeight, s.handleMine))
+	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineDeadline, cfg.MineWeight, s.handleMine))
 	s.mux.Handle("POST "+routePredict, s.guarded(routePredict, cfg.PredictDeadline, 1, s.handlePredict))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -482,86 +482,3 @@ func TestClientBackoffCapsAndJitters(t *testing.T) {
 		}
 	}
 }
-
-func TestMineShardedMatchesSinglePartition(t *testing.T) {
-	_, single := newTestServer(t, nil)
-	ref := postJSON(t, single.URL+"/v1/mine", MineRequest{K: 4, MaxLen: 4})
-	if ref.StatusCode != http.StatusOK {
-		t.Fatalf("single-partition mine status = %d", ref.StatusCode)
-	}
-	want := decode[MineResponse](t, ref)
-
-	s, ts := newTestServer(t, func(c *Config) { c.MineShards = 3 })
-	if s.engine == nil {
-		t.Fatal("MineShards=3 did not build a shard engine")
-	}
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 4, MaxLen: 4})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("sharded mine status = %d: %s", resp.StatusCode, body)
-	}
-	got := decode[MineResponse](t, resp)
-	if got.Shards != 3 {
-		t.Errorf("response shards = %d, want 3", got.Shards)
-	}
-	if got.Degraded {
-		t.Errorf("sharded mine degraded: %s", got.InterruptReason)
-	}
-	if len(got.Patterns) != len(want.Patterns) {
-		t.Fatalf("sharded returned %d patterns, single %d", len(got.Patterns), len(want.Patterns))
-	}
-	for i := range got.Patterns {
-		gk, wk := got.Patterns[i].Cells, want.Patterns[i].Cells
-		if len(gk) != len(wk) {
-			t.Fatalf("rank %d: %v vs %v", i, gk, wk)
-		}
-		for j := range gk {
-			if gk[j] != wk[j] {
-				t.Fatalf("rank %d: %v vs %v", i, gk, wk)
-			}
-		}
-	}
-	if len(s.Patterns()) == 0 {
-		t.Error("sharded mine did not install patterns for predict")
-	}
-}
-
-func TestMineShardedWeightClampedToCapacity(t *testing.T) {
-	// 3 shards × default weight 4 = 12 > capacity 8: without the clamp the
-	// request could never be admitted at all.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = 3 })
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 3, MaxLen: 3})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("clamped sharded mine status = %d: %s", resp.StatusCode, body)
-	}
-}
-
-func TestMineShardedRejectsBadConfig(t *testing.T) {
-	// The shard engine wraps per-shard errors; *core.ConfigError must still
-	// unwrap into a 400.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = 2 })
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("k=-1 status = %d, want 400", resp.StatusCode)
-	}
-	eb := decode[errorBody](t, resp)
-	if eb.Error.Code != "bad_config" {
-		t.Errorf("code = %q, want bad_config", eb.Error.Code)
-	}
-}
-
-func TestMineShardsPerCPU(t *testing.T) {
-	// Negative MineShards means one shard per CPU; whatever the machine,
-	// the route must answer with the same top-k semantics.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = -1 })
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 3, MaxLen: 3})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("per-CPU sharded mine status = %d: %s", resp.StatusCode, body)
-	}
-	mined := decode[MineResponse](t, resp)
-	if len(mined.Patterns) == 0 {
-		t.Fatal("per-CPU sharded mine returned no patterns")
-	}
-}

@@ -249,8 +249,8 @@ func TestSoakMetricsConformance(t *testing.T) {
 		}
 		scrapes++
 		if finals > 0 {
-			// The settled exposition must carry the request-to-shard
-			// telemetry families this PR promises scrapers.
+			// The settled exposition must carry the request and queue
+			// telemetry families scrapers rely on.
 			for _, want := range []string{
 				"serve_requests_v1_score",
 				"serve_latency_v1_score_bucket",

@@ -5,7 +5,7 @@
 // packages (floatcmp), leak-free file/cursor lifecycles (closepair),
 // first-parameter, never-stored context.Context plumbing in the
 // cancellable packages (ctxfirst), and the concurrency-safety suite over
-// the sharded runtime: single-discipline atomics (atomicmix), lock
+// the concurrent runtime: single-discipline atomics (atomicmix), lock
 // release/self-deadlock/copy rules (lockdiscipline), joined goroutines
 // (goleak) and bounded channel sends (sendbound).
 //

@@ -1,6 +1,6 @@
 // Package determinism enforces the reproducibility contract of the
-// deterministic packages (internal/core, internal/core/shard,
-// internal/stat, internal/exp, internal/report): for a fixed seed and
+// deterministic packages (internal/core, internal/stat, internal/exp,
+// internal/report, internal/ingest): for a fixed seed and
 // scale, a run's observable outputs
 // — mined patterns, work counters, reports, serialized results — must be
 // bit-identical across runs, because the CI bench gate compares them
@@ -60,7 +60,7 @@ var pkgs string
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"trajpattern/internal/core,trajpattern/internal/core/shard,trajpattern/internal/stat,trajpattern/internal/exp,trajpattern/internal/report,trajpattern/internal/ingest",
+		"trajpattern/internal/core,trajpattern/internal/stat,trajpattern/internal/exp,trajpattern/internal/report,trajpattern/internal/ingest",
 		"comma-separated package paths (or /-suffixes) held to the determinism contract")
 }
 

@@ -13,9 +13,9 @@ func TestDeterminism(t *testing.T) {
 		filepath.Join("testdata", "src", "core"), "trajpattern/internal/core")
 }
 
-func TestDeterminismShardPackage(t *testing.T) {
+func TestDeterminismIngestPackage(t *testing.T) {
 	checktest.Run(t, determinism.Analyzer,
-		filepath.Join("testdata", "src", "shard"), "trajpattern/internal/core/shard")
+		filepath.Join("testdata", "src", "ingest"), "trajpattern/internal/ingest")
 }
 
 func TestDeterminismOutsideScope(t *testing.T) {

@@ -1,5 +1,5 @@
 // Fixture for the goleak analyzer: goroutine-launch shapes from the
-// serving and shard runtime.
+// serving runtime.
 package serve
 
 import (

@@ -10,7 +10,7 @@ import (
 
 func TestLockDiscipline(t *testing.T) {
 	checktest.Run(t, lockdiscipline.Analyzer,
-		filepath.Join("testdata", "src", "shard"), "trajpattern/internal/core/shard")
+		filepath.Join("testdata", "src", "guard"), "trajpattern/internal/serve/guard")
 }
 
 func TestLockDisciplineOutsideScope(t *testing.T) {
