@@ -86,7 +86,7 @@ func BenchmarkLogProbBox(b *testing.B) {
 }
 
 // BenchmarkLogProbDisk measures the per-snapshot Rice-distribution disk
-// probability (Simpson integration of the scaled Bessel integrand).
+// probability (the Poisson-mixture series for the Rice CDF).
 func BenchmarkLogProbDisk(b *testing.B) {
 	s := benchScorer(b, ProbDisk, true)
 	pt := traj.P(0.4, 0.4, 0.02)

@@ -194,6 +194,12 @@ func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 	sc := s.cfg
 	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=%t;",
 		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, sc.LogFloor, !sc.DisableCache)
+	if sc.Mode == ProbDisk {
+		// The disk probability kernel changed from Simpson integration to
+		// the Poisson-mixture series; a checkpoint holding NM values of the
+		// former must not resume under the latter. Box mode is unaffected.
+		fmt.Fprint(h, "rice=series;")
+	}
 	fmt.Fprintf(h, "data=%d/%d", len(s.data), len(s.flat))
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"trajpattern/internal/faultio"
+	"trajpattern/internal/grid"
 	"trajpattern/internal/testutil/leakcheck"
 )
 
@@ -279,6 +280,47 @@ func TestMineResumeEqualsUninterrupted(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("stop %d: resumed answer differs from the uninterrupted run", stopAt)
+		}
+	}
+}
+
+// TestFingerprintTagsDiskKernel: disk-mode fingerprints carry the Rice
+// kernel, so a disk checkpoint written under the former Simpson kernel is
+// refused, while box-mode fingerprints are what they were before the tag.
+// The golden values were computed by the Simpson-kernel build.
+func TestFingerprintTagsDiskKernel(t *testing.T) {
+	const (
+		boxBefore  = "c4f099dec3760a1d"
+		diskBefore = "ca14417fbf8c375f"
+	)
+	data := randomDataset(5, 6, 10, 0.05)
+	g := grid.NewSquare(4)
+	cfg := MinerConfig{K: 3, MaxLen: 3}
+	for _, mode := range []ProbMode{ProbBox, ProbDisk} {
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := cfg.Fingerprint(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch mode {
+		case ProbBox:
+			if fp != boxBefore {
+				t.Errorf("box fingerprint changed: %s, want %s", fp, boxBefore)
+			}
+		case ProbDisk:
+			if fp == diskBefore {
+				t.Errorf("disk fingerprint %s does not name the kernel", fp)
+			}
+			ck := sampleCheckpoint()
+			ck.Fingerprint = diskBefore
+			resume := cfg
+			resume.Resume = ck
+			if _, err := Mine(context.Background(), s, resume); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+				t.Errorf("Simpson-kernel disk checkpoint accepted: %v", err)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
@@ -132,7 +133,7 @@ type Scorer struct {
 
 	mu      sync.Mutex
 	cache   map[int][]float64 // cell index -> per-flat-position log prob
-	nmEvals int               // number of NM evaluations (for MinerStats)
+	nmEvals atomic.Int64      // number of NM evaluations (for MinerStats)
 
 	m  scorerMetrics
 	tl *trace.Local // batch-span recorder; nil when Config.Tracer is nil
@@ -241,10 +242,7 @@ func (s *Scorer) cellLogProbs(cell int) []float64 {
 		s.mu.Unlock()
 	}
 	s.m.cellsBuilt.Inc()
-	v := make([]float64, len(s.flat))
-	for i, pt := range s.flat {
-		v[i] = s.logProb(pt, cell)
-	}
+	v := s.buildVector(cell)
 	if !s.cfg.DisableCache {
 		s.mu.Lock()
 		s.cache[cell] = v
@@ -253,11 +251,69 @@ func (s *Scorer) cellLogProbs(cell int) []float64 {
 	return v
 }
 
+// buildVector computes the log-prob vector of cell over every snapshot.
+func (s *Scorer) buildVector(cell int) []float64 {
+	v := make([]float64, len(s.flat))
+	for i, pt := range s.flat {
+		v[i] = s.logProb(pt, cell)
+	}
+	return v
+}
+
 // Prepare precomputes the log-prob vectors for the given cells so that
 // subsequent concurrent scoring never writes the cache. It is idempotent.
+// The missing vectors are built across cfg.Workers goroutines; each is the
+// same serial loop, so the result is bit-identical at any worker count.
 func (s *Scorer) Prepare(cells []int) {
+	if s.cfg.Workers == 1 || s.cfg.DisableCache {
+		for _, c := range cells {
+			s.cellLogProbs(c)
+		}
+		return
+	}
+	var missing []int
+	hits := 0
+	s.mu.Lock()
 	for _, c := range cells {
-		s.cellLogProbs(c)
+		if _, ok := s.cache[c]; ok {
+			hits++
+			continue
+		}
+		missing = append(missing, c)
+	}
+	s.mu.Unlock()
+	s.m.cacheHits.Add(int64(hits))
+	if len(missing) == 0 {
+		return
+	}
+	vecs := make([][]float64, len(missing))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(s.cfg.Workers, len(missing)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(missing) {
+					return
+				}
+				vecs[i] = s.buildVector(missing[i])
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range missing {
+		if _, ok := s.cache[c]; ok {
+			// Built concurrently by another caller, or listed twice.
+			continue
+		}
+		s.cache[c] = vecs[i]
+		s.m.cellsBuilt.Inc()
 	}
 }
 
@@ -271,9 +327,7 @@ func (s *Scorer) CacheSize() int {
 // NMEvaluations returns how many pattern NM evaluations this scorer has
 // performed, the dominant cost term of the complexity analysis (§4.4).
 func (s *Scorer) NMEvaluations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nmEvals
+	return int(s.nmEvals.Load())
 }
 
 // scratchPool recycles the window-sum accumulators of logMatchWindows.
@@ -356,9 +410,7 @@ func (s *Scorer) NM(p Pattern) float64 {
 		logM, _ := s.logMatchWindows(p, ti, vecs)
 		sum += logM / float64(len(p))
 	}
-	s.mu.Lock()
-	s.nmEvals++
-	s.mu.Unlock()
+	s.nmEvals.Add(1)
 	s.m.nmEvals.Inc()
 	return sum
 }
@@ -414,8 +466,8 @@ func (e *ScorePanicError) Error() string {
 
 // ScoreAll evaluates NM for every pattern concurrently and returns the
 // values in input order. It first materializes the log-prob vectors of all
-// touched cells (serially), then fans the window scans out over
-// cfg.Workers goroutines.
+// touched cells (Prepare, itself spread over cfg.Workers goroutines), then
+// fans the window scans out over cfg.Workers goroutines.
 //
 // ctx cancellation stops dispatching new jobs; in-flight evaluations
 // finish (each is short), the pool drains cleanly, and the call returns

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"trajpattern/internal/grid"
+	"trajpattern/internal/obs"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
 )
@@ -421,5 +423,63 @@ func TestQuickMinMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPrepareWorkerCountDeterministic: Prepare builds the missing vectors
+// across cfg.Workers goroutines, and every vector must come out bit for
+// bit as the 1-worker build does, in both probability modes. Each
+// inserted vector is counted once, so scorer.cells.built equals the cache
+// size, also after a second, fully cached Prepare and when several
+// callers prepare the same cells at once.
+func TestPrepareWorkerCountDeterministic(t *testing.T) {
+	data := randomDataset(11, 12, 20, 0.04)
+	g := grid.NewSquare(8)
+	for _, mode := range []ProbMode{ProbBox, ProbDisk} {
+		build := func(workers int) *Scorer {
+			reg := obs.New()
+			s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Mode: mode, Workers: workers, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := s.AllCells()
+			s.Prepare(cells[:len(cells)/2])
+			s.Prepare(cells)
+			s.Prepare(cells)
+			if built, size := reg.Snapshot().Counter("scorer.cells.built"), s.CacheSize(); built != int64(size) || size != len(cells) {
+				t.Errorf("%v, %d workers: scorer.cells.built = %d, cache size %d, want both %d", mode, workers, built, size, len(cells))
+			}
+			return s
+		}
+		ref := build(1)
+		reg := obs.New()
+		shared, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Mode: mode, Workers: 2, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shared.Prepare(shared.AllCells())
+			}()
+		}
+		wg.Wait()
+		if built, size := reg.Snapshot().Counter("scorer.cells.built"), shared.CacheSize(); built != int64(size) || size != g.NumCells() {
+			t.Errorf("%v, concurrent callers: scorer.cells.built = %d, cache size %d, want both %d", mode, built, size, g.NumCells())
+		}
+		for _, workers := range []int{2, 4, 8} {
+			got := build(workers)
+			for cell, want := range ref.cache {
+				vec := got.cache[cell]
+				for i := range want {
+					if math.Float64bits(vec[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v, %d workers: cell %d position %d = %x, 1 worker %x",
+							mode, workers, cell, i, math.Float64bits(vec[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
 	}
 }

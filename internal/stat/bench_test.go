@@ -26,18 +26,6 @@ func BenchmarkDiskProb2D(b *testing.B) {
 	}
 }
 
-func BenchmarkI0eSeries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		I0e(8.5)
-	}
-}
-
-func BenchmarkI0eAsymptotic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		I0e(60)
-	}
-}
-
 func BenchmarkRNGNormal(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {

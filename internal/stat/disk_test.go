@@ -6,6 +6,206 @@ import (
 	"testing/quick"
 )
 
+// The Simpson integrator over the scaled Bessel integrand below was the
+// production Rice CDF before the Poisson-mixture series replaced it. It
+// stays here as an independent reference: at a high panel count it
+// resolves the integral far beyond the accuracy the series is held to.
+
+// I0e returns the exponentially scaled modified Bessel function of the
+// first kind of order zero, I₀(x)·e^(-|x|). It is accurate to ~1e-13 using
+// the power series for small |x| and the asymptotic expansion for large |x|.
+func I0e(x float64) float64 {
+	x = math.Abs(x)
+	if x < 25 {
+		// Power series: I0(x) = Σ (x/2)^(2k) / (k!)².
+		term, sum := 1.0, 1.0
+		half := x / 2
+		for k := 1; k < 80; k++ {
+			term *= (half / float64(k)) * (half / float64(k))
+			sum += term
+			if term < sum*1e-17 {
+				break
+			}
+		}
+		return sum * math.Exp(-x)
+	}
+	// Asymptotic: I0(x) ~ e^x/sqrt(2πx) · Σ a_k/x^k with
+	// a_k = ((2k-1)!!)² / (k!·8^k).
+	inv := 1 / x
+	sum, term := 1.0, 1.0
+	for k := 1; k < 12; k++ {
+		num := float64(2*k-1) * float64(2*k-1)
+		term *= num * inv / (8 * float64(k))
+		sum += term
+		if math.Abs(term) < 1e-17 {
+			break
+		}
+	}
+	return sum / math.Sqrt(2*math.Pi*x)
+}
+
+// riceSimpson integrates the Rice(nu, sigma) density over [lo, hi] with
+// composite Simpson on n panels (n even). The integrand is written as
+// (r/σ²)·exp(-(r-ν)²/(2σ²))·I0e(rν/σ²), which never overflows.
+func riceSimpson(lo, hi, nu, sigma float64, n int) float64 {
+	inv2s2 := 1 / (2 * sigma * sigma)
+	invs2 := 1 / (sigma * sigma)
+	f := func(r float64) float64 {
+		d := r - nu
+		return r * invs2 * math.Exp(-d*d*inv2s2) * I0e(r*nu*invs2)
+	}
+	h := (hi - lo) / float64(n)
+	sum := f(lo) + f(hi)
+	for i := 1; i < n; i++ {
+		x := lo + float64(i)*h
+		if i%2 == 1 {
+			sum += 4 * f(x)
+		} else {
+			sum += 2 * f(x)
+		}
+	}
+	return sum * h / 3
+}
+
+// TestRiceCDFDifferential holds riceCDF to the Simpson reference on a dense
+// (ν/σ, δ/σ) grid. For each ν the reference is accumulated along the δ grid
+// from ν-40σ, 64 panels per step, so it keeps its relative accuracy deep in
+// the lower tail. Inside the ±9σ window the series must be within 1e-12
+// absolute and 1e-9 in log; at the two exits it must be exactly 0 and 1;
+// along δ it must never decrease, with no tolerance.
+func TestRiceCDFDifferential(t *testing.T) {
+	const sigma = 1.0
+	deltas := []float64{1e-9, 1e-6, 1e-3, 0.01, 0.02, 0.03, 0.04}
+	for j := 1; j <= 1200; j++ {
+		deltas = append(deltas, float64(j)*0.05)
+	}
+	var checked, maxAbs, maxLog float64
+	for i := 0; i <= 120; i++ {
+		nu := float64(i) * 0.5
+		lo := math.Max(0, nu-40*sigma)
+		ref, prevDelta, prev := 0.0, lo, 0.0
+		for _, delta := range deltas {
+			got := riceCDF(delta, nu, sigma)
+			if got < prev {
+				t.Fatalf("ν=%v: riceCDF(%v) = %.17g < riceCDF at the previous δ = %.17g", nu, delta, got, prev)
+			}
+			prev = got
+			if delta >= nu+riceWindow*sigma {
+				if got != 1 {
+					t.Fatalf("ν=%v δ=%v: upper exit returned %.17g, want exactly 1", nu, delta, got)
+				}
+				continue
+			}
+			if delta > prevDelta {
+				ref += riceSimpson(prevDelta, delta, nu, sigma, 64)
+				prevDelta = delta
+			}
+			if delta <= nu-riceWindow*sigma && got != 0 {
+				t.Fatalf("ν=%v δ=%v: lower exit returned %.17g, want exactly 0", nu, delta, got)
+			}
+			abs := math.Abs(got - ref)
+			if abs > 1e-12 {
+				t.Errorf("ν=%v δ=%v: riceCDF = %.17g, reference %.17g (|Δ| = %.3g)", nu, delta, got, ref, abs)
+			}
+			maxAbs = math.Max(maxAbs, abs)
+			if got > 0 && ref > 1e-300 {
+				lg := math.Abs(math.Log(got) - math.Log(ref))
+				if lg > 1e-9 {
+					t.Errorf("ν=%v δ=%v: log riceCDF = %.17g, log reference %.17g (|Δ| = %.3g)",
+						nu, delta, math.Log(got), math.Log(ref), lg)
+				}
+				maxLog = math.Max(maxLog, lg)
+			}
+			checked++
+		}
+	}
+	t.Logf("%v in-range points, max |Δ| %.3g, max |Δ log| %.3g", checked, maxAbs, maxLog)
+}
+
+// TestRiceCDFLargeNu: past riceSeriesMax, riceCDF switches from the series
+// to the large-ν expansion. Across the switch the two must agree as
+// closely as the series agrees with the reference.
+func TestRiceCDFLargeNu(t *testing.T) {
+	series := riceSeriesMax
+	far := math.Nextafter(series, math.Inf(1))
+	var maxAbs, maxLog float64
+	for d := -8.75; d < 9; d += 0.25 {
+		delta := series + d
+		want, got := riceCDF(delta, series, 1), riceCDF(delta, far, 1)
+		abs, lg := math.Abs(got-want), math.Abs(math.Log(got)-math.Log(want))
+		if abs > 1e-12 || lg > 1e-9 {
+			t.Errorf("δ−ν = %v: expansion %.17g, series %.17g", d, got, want)
+		}
+		maxAbs, maxLog = math.Max(maxAbs, abs), math.Max(maxLog, lg)
+	}
+	t.Logf("max |Δ| %.3g, max |Δ log| %.3g", maxAbs, maxLog)
+	if got := riceCDF(1e15, 1e15, 1); got < 0.49 || got > 0.5 {
+		t.Errorf("riceCDF at δ = ν = 1e15σ = %v, want just under 1/2", got)
+	}
+}
+
+// TestDiskProbRecordedFailures pins the two inputs on which the former
+// Simpson kernel broke TestQuickDiskVsBox: at δ/σ ≈ 20 it returned less
+// than 1 at δ and more than that at δ/2.
+func TestDiskProbRecordedFailures(t *testing.T) {
+	for _, in := range [][4]uint16{
+		{0xd4f0, 0x1017, 0xc3b6, 0x54a7},
+		{0x30cd, 0xfd90, 0x6722, 0x4ff7},
+	} {
+		lx := float64(in[0]%200)/100 - 1
+		ly := float64(in[1]%200)/100 - 1
+		sigma := 0.05 + float64(in[2]%100)/100
+		delta := 0.01 + float64(in[3]%100)/50
+		disk := DiskProb2D(lx, ly, sigma, 0, 0, delta)
+		half := DiskProb2D(lx, ly, sigma, 0, 0, delta/2)
+		if disk < 0 || disk > 1 || half < 0 || half > 1 {
+			t.Errorf("%#x: DiskProb2D out of [0,1]: δ → %v, δ/2 → %v", in, disk, half)
+		}
+		if half > disk {
+			t.Errorf("%#x: not monotone in δ: δ/2 → %.17g > δ → %.17g", in, half, disk)
+		}
+		outer := BoxProb2D(lx, ly, sigma, 0, 0, delta)
+		inner := BoxProb2D(lx, ly, sigma, 0, 0, delta/math.Sqrt2)
+		if inner > disk+1e-6 || disk > outer+1e-6 {
+			t.Errorf("%#x: box bounds violated: inner %.17g, disk %.17g, outer %.17g", in, inner, disk, outer)
+		}
+	}
+}
+
+func BenchmarkI0eSeries(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		I0e(8.5)
+	}
+}
+
+func BenchmarkI0eAsymptotic(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		I0e(60)
+	}
+}
+
+var riceSink float64
+
+// BenchmarkRiceCDFWindow sweeps riceCDF over a (ν/σ, δ/σ) grid inside the
+// ±9σ window, where the series runs; ν/σ up to 20 covers the cells the
+// disk-mode workloads score.
+func BenchmarkRiceCDFWindow(b *testing.B) {
+	type pair struct{ delta, nu float64 }
+	var grid []pair
+	for nu := 0.0; nu <= 20; nu += 2 {
+		for d := -8.5; d < 9; d += 1.0 {
+			if delta := nu + d; delta > 0 {
+				grid = append(grid, pair{delta, nu})
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := grid[i%len(grid)]
+		riceSink = riceCDF(p.delta, p.nu, 1)
+	}
+}
+
 func TestI0eKnownValues(t *testing.T) {
 	// Reference values: I0(x)*exp(-x) for x = 0, 1, 5, 20, 100.
 	cases := []struct {
@@ -94,6 +294,15 @@ func TestDiskProbDegenerate(t *testing.T) {
 	}
 	if DiskProb2D(0, 0, 1, 0, 0, -0.5) != 0 {
 		t.Error("negative delta should be 0")
+	}
+	for _, in := range [][3]float64{{math.NaN(), 1, 0.5}, {0, math.NaN(), 0.5}, {0, 1, math.NaN()}} {
+		if got := DiskProb2D(in[0], 0, in[1], 0, 0, in[2]); !math.IsNaN(got) {
+			t.Errorf("DiskProb2D with lx, σ, δ = %v = %v, want NaN", in, got)
+		}
+	}
+	// Far from the origin at a coarse σ, δ²/σ² would overflow.
+	if got := DiskProb2D(1e300, 0, 1e297, 0, 0, 1e300); got < 0.4 || got > 0.6 {
+		t.Errorf("DiskProb2D at δ = ν = 1e3σ = 1e300 → %v, want about 1/2", got)
 	}
 }
 
